@@ -9,47 +9,66 @@ packed into per-destination communication buffers as the sweep proceeds, so
 "by the time the computation routine returns, the communication buffers are
 all set up".
 
-Four pipelines are provided:
+One sweep engine, composed of three independent choices:
 
-* :func:`sweep_basic` -- Figure 8: internals, then peripherals (packing),
-  commit, then ``Isend`` everything and blocking-receive the shadows.
-* :func:`sweep_overlapped` -- Figure 8a: peripherals first, ``Isend`` +
-  ``Irecv``, internals computed *while the transfers are in flight*, then
-  wait and unpack.
-* :func:`sweep_basic_delta` / :func:`sweep_overlapped_delta` -- the
-  change-driven variants (``--activation sparse``): only *active* nodes
-  (own or neighbour value changed since their last evaluation) are
-  recomputed, only *changed* peripheral values are packed, empty sends are
-  elided entirely, and receivers discover the actual sender set from the
-  mailbox after the sweep barrier (:class:`DeltaState` holds the per-round
-  active sets and the sweep-parity tag).
-* :func:`sweep_hybrid` -- the GraphHP two-phase superstep
-  (``--execution hybrid``): a *boundary phase* computes the active
-  peripheral nodes and dispatches their deltas exactly like the
-  change-driven sweep, then an *interior phase* iterates the interior
-  active set locally -- no messages, no barrier -- until the frontier
-  drains or the per-superstep inner cap is hit, with every inner sweep
-  charged at full virtual cost.  The interior loop runs between the
-  ``Isend`` and the barrier, so it inherently overlaps the in-flight
-  exchange; arrivals can only activate peripheral nodes (an owned node
-  with a remote neighbour is peripheral by definition), which is what
-  makes the interior phase safely independent of this superstep's
-  traffic.
+* **Frontier** -- which owned nodes a sweep recomputes.  *Dense* (no state:
+  every node, every sweep -- the thesis's behaviour), *change-driven*
+  (``--activation sparse``, :class:`DeltaState`: only nodes whose closed
+  neighbourhood changed since their last evaluation; only changed
+  peripheral values are packed; empty sends are elided and receivers
+  discover the senders after a delivery-fence barrier), or *hybrid*
+  (``--execution hybrid``, :class:`HybridState`: the same change-driven
+  frontier split into a boundary part and an interior part).
+* **Pipeline** -- Figure 8 (*basic*: internals, peripherals with packing,
+  commit, then ``Isend`` everything and receive the shadows) or Figure 8a
+  (*overlapped*: peripherals first, ``Isend``, internals computed while
+  the transfers are in flight, then receive).  Hybrid execution has its own
+  pipeline, GraphHP's two-phase superstep: a boundary phase like the
+  change-driven sweep, then a local, message-free interior phase that runs
+  between the ``Isend`` and the barrier.
+* **Kernel** -- how values are computed and charged.  :class:`_ScalarKernel`
+  calls the node function once per node (the reference);
+  :class:`_BulkKernel` computes every node of a pass in one vectorized
+  ``fn.bulk`` call over a struct-of-arrays store, then replays the scalar
+  path's per-node charge sequence.
 
-The sparse pipelines assume the node function is *pure per round*: its
-return value depends only on the node's own and neighbours' values (cost
-charges may vary freely).  A skipped node then provably recomputes to its
-current value, so sparse results are value-identical to dense.  The
-hybrid pipeline additionally requires the *algorithm* to be
-order-insensitive (chaotic relaxation, e.g. Jacobi): interior nodes see
-newer-than-BSP neighbour values, so the trajectory differs while the
-fixed point is preserved.
+:func:`_sweep_bsp` drives the dense and change-driven frontiers through
+either pipeline; :func:`_sweep_hybrid` drives the hybrid superstep.
+
+**Charge-order contract.**  Every virtual-clock charge happens in the same
+order, with the same amount, whatever the kernel or store, so clocks, phase
+splits, per-node loads, traces and checkpoints are bit-identical across
+them.  The receive side is part of that contract: the dense basic sweep
+receives every shadow message, then enters the barrier (the appendix's
+``MPI_Barrier`` in ``CommunicateShadows``), then unpacks; the dense
+overlapped sweep posts its receives before computing the internals and
+waits and unpacks one message at a time, with no barrier; the change-driven
+basic sweep and the hybrid superstep fence delivery with the barrier, then
+receive everything, then unpack; the change-driven overlapped sweep fences,
+then receives and unpacks one message at a time.
+
+**The ten sweep names.**  ``sweep_{basic,overlapped}{,_delta}{,_bulk}`` and
+``sweep_hybrid{,_bulk}`` are one-line bindings of the two drivers.  They
+remain because they are the public selection surface: the platform picks
+one by name, callers such as tests pass them around, and tracing tools
+wrap them individually.  All take ``(comm, store, node_fn, ctx, buffers)``
+plus the frontier state for the change-driven and hybrid names.
+
+The change-driven frontiers assume the node function is *pure per round*:
+its return value depends only on the node's own and neighbours' values
+(cost charges may vary freely).  A skipped node then provably recomputes to
+its current value, so sparse results are value-identical to dense.  Hybrid
+execution additionally requires the *algorithm* to be order-insensitive
+(chaotic relaxation, e.g. Jacobi): interior nodes see newer-than-BSP
+neighbour values, so the trajectory differs while the fixed point is
+preserved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -177,6 +196,194 @@ class ComputeContext:
 NodeFn = Callable[[NodeView, ComputeContext], Any]
 
 
+# --------------------------------------------------------------------- #
+# Frontiers: change-driven (delta) and hybrid boundary/interior state
+# --------------------------------------------------------------------- #
+
+
+def _consume(frontiers: list[set[int] | None], round_idx: int) -> set[int] | None:
+    """Take round ``round_idx``'s frontier (None = dense), leaving a fresh
+    empty set to collect the changes the coming sweep produces."""
+    active = frontiers[round_idx]
+    frontiers[round_idx] = set()
+    return active
+
+
+def _capture(frontiers: list[set[int] | None]) -> list[list[int] | None]:
+    return [sorted(d) if d is not None else None for d in frontiers]
+
+
+def _restore(saved: list[list[int] | None]) -> list[set[int] | None]:
+    return [set(d) if d is not None else None for d in saved]
+
+
+class DeltaState:
+    """Per-rank state of the change-driven execution mode.
+
+    Holds one *dirty set* per communication round: the owned nodes whose
+    own or neighbour value changed since the start of that round's last
+    sweep.  ``None`` marks a round as *dense* -- every owned node computes
+    (the first iteration, and after any ownership change: migration,
+    repartition, shrink recovery, rollback to a version-less rebuild).
+
+    Per-round sets (rather than a single frontier) keep multi-round
+    applications like the battlefield simulation sound: round ``r``'s
+    function may move a value even when round ``r-1``'s left it alone, so a
+    node may only skip round ``r`` if nothing in its closed neighbourhood
+    changed since its last *round-r* evaluation.
+
+    ``parity`` indexes :data:`TAG_SHADOW_DELTA` and flips every sweep; it
+    advances in lockstep on all ranks (sweeps are collective), so it is
+    deliberately *not* checkpointed -- after a rollback the live value is
+    still synchronized, while the dirty sets are restored from the
+    checkpoint so the frontier does not resume empty.
+    """
+
+    #: Key of this state's payload in the platform's checkpoint extras.
+    checkpoint_key = "delta"
+
+    def __init__(self, rounds: int) -> None:
+        self.rounds = rounds
+        self.parity = 0
+        self.reset_dense()
+
+    def next_tag(self) -> int:
+        """This sweep's exchange tag; flips the parity for the next one."""
+        tag = TAG_SHADOW_DELTA[self.parity]
+        self.parity ^= 1
+        return tag
+
+    def begin_sweep(self, round_idx: int) -> set[int] | None:
+        """Consume round ``round_idx``'s active set (None = dense sweep)."""
+        return _consume(self.dirty, round_idx)
+
+    def _touch(self, store: NodeStore, gid: int) -> None:
+        """Activate owned node ``gid`` in every round's frontier."""
+        for dset in self.dirty:
+            if dset is not None:
+                dset.add(gid)
+
+    def record_commit(self, store: NodeStore, changed: list[int], ctx: ComputeContext) -> None:
+        """A committed owned value changed: it and its owned neighbours must
+        recompute in every round."""
+        cost = 0.0
+        for gid in changed:
+            self._touch(store, gid)
+            neighbors = store.graph.neighbors(gid)
+            for v in neighbors:
+                if store.owns(v):
+                    self._touch(store, v)
+            cost += ctx.costs.list_item_cost * (1 + len(neighbors))
+        if cost:
+            ctx._bookkeeping(cost)
+
+    def record_arrival(self, store: NodeStore, gid: int, ctx: ComputeContext) -> None:
+        """A shadow value changed: its owned neighbours must recompute."""
+        neighbors = store.graph.neighbors(gid)
+        for v in neighbors:
+            if store.owns(v):
+                self._touch(store, v)
+        ctx._bookkeeping(ctx.costs.list_item_cost * (1 + len(neighbors)))
+
+    def reset_dense(self) -> None:
+        """Fall back to dense sweeps for every round.
+
+        Called after any event that changes ownership or rebuilds stores
+        from bare values (migration, repartition, shrink recovery) -- a
+        dense round is a safe superset of any frontier, and purity makes
+        the extra evaluations value-neutral.
+        """
+        self.dirty: list[set[int] | None] = [None] * self.rounds
+
+    def capture(self) -> dict[str, Any]:
+        """Checkpoint payload: the dirty sets as deterministic lists."""
+        return {"dirty": _capture(self.dirty)}
+
+    def restore(self, state: dict[str, Any]) -> None:
+        """Reinstate the frontier a checkpoint captured (rollback path)."""
+        self.dirty = _restore(state["dirty"])
+
+
+class HybridState(DeltaState):
+    """Per-rank state of the hybrid (GraphHP-style) execution mode.
+
+    The change-driven frontier *split by node class*: ``boundary[r]`` holds
+    active peripheral nodes (computed once per superstep, in the globally
+    synchronized boundary phase) and ``interior[r]`` holds active interior
+    nodes (iterated locally to convergence inside the superstep).  ``None``
+    marks a frontier dense.  Commits and arrivals are recorded exactly as
+    in :class:`DeltaState`; only the routing differs -- a changed node
+    activates its owned neighbours into whichever frontier their
+    classification demands, so migration/repartition/shrink (which rebuild
+    the classification) are handled by the same :meth:`reset_dense`
+    fallback.  Every owned neighbour of a shadow is peripheral, so
+    arrivals only ever grow the boundary frontier -- the invariant that
+    lets the interior phase run before this superstep's messages are
+    drained.
+
+    ``parity`` flips once per *superstep* (not per inner sweep -- interior
+    iteration is message-free, so the exchange tags stay lockstep across
+    ranks with different inner-sweep counts) and is not checkpointed.  The
+    cumulative ``inner_sweeps`` counter *is* checkpointed: it rides
+    snapshots so a rollback replays to bit-identical telemetry.
+    """
+
+    checkpoint_key = "hybrid"
+
+    def __init__(self, rounds: int, inner_cap: int) -> None:
+        super().__init__(rounds)
+        self.inner_cap = inner_cap
+        #: Interior sweeps executed over the whole run (telemetry).
+        self.inner_sweeps = 0
+
+    def begin_sweep(self, round_idx: int) -> set[int] | None:
+        """Consume round ``round_idx``'s boundary frontier (None = dense)."""
+        return _consume(self.boundary, round_idx)
+
+    def begin_interior(self, round_idx: int) -> set[int] | None:
+        """Consume round ``round_idx``'s interior frontier (None = dense)."""
+        return _consume(self.interior, round_idx)
+
+    def _touch(self, store: NodeStore, gid: int) -> None:
+        frontiers = self.boundary if gid in store.peripheral else self.interior
+        for fset in frontiers:
+            if fset is not None:
+                fset.add(gid)
+
+    def reset_dense(self) -> None:
+        """Fall back to dense phases for every round (ownership changed)."""
+        self.boundary: list[set[int] | None] = [None] * self.rounds
+        self.interior: list[set[int] | None] = [None] * self.rounds
+
+    def capture(self) -> dict[str, Any]:
+        """Checkpoint payload: both frontiers plus the inner-sweep counter."""
+        return {
+            "boundary": _capture(self.boundary),
+            "interior": _capture(self.interior),
+            "inner_sweeps": self.inner_sweeps,
+        }
+
+    def restore(self, state: dict[str, Any]) -> None:
+        """Reinstate the frontiers and counter a checkpoint captured."""
+        self.boundary = _restore(state["boundary"])
+        self.interior = _restore(state["interior"])
+        self.inner_sweeps = state["inner_sweeps"]
+
+
+def _select(nodes: dict[int, OwnNode], active: set[int] | None) -> list[OwnNode]:
+    """The nodes of one class (a store's ``internal`` or ``peripheral`` map)
+    to compute this sweep: all of them for a dense frontier, else the
+    active ones in gid order."""
+    if active is None:
+        return list(nodes.values())
+    return [nodes[g] for g in sorted(active) if g in nodes]
+
+
+# --------------------------------------------------------------------- #
+# Kernels: scalar reference and bulk (struct-of-arrays) replay
+# --------------------------------------------------------------------- #
+
+
 def _form_view(store: NodeStore, node: OwnNode, ctx: ComputeContext) -> NodeView:
     """Build the node+neighbours list, charging list-forming overhead."""
     costs = ctx.costs
@@ -211,335 +418,29 @@ def _compute_node(store: NodeStore, node: OwnNode, node_fn: NodeFn, ctx: Compute
         ctx.node_compute[gid] = ctx.node_compute.get(gid, 0.0) + spent
 
 
-def _pack_node(node: OwnNode, buffers: CommBuffers, ctx: ComputeContext) -> None:
-    for proc in node.shadow_for_procs:
-        buffers.pack(proc, node.global_id, node.data.most_recent_data)
-        ctx._comm_overhead(ctx.costs.pack_cost)
+class _ScalarKernel:
+    """The reference kernel: one node-function call per node, in order."""
+
+    def __init__(self, store: NodeStore, node_fn: NodeFn, ctx: ComputeContext) -> None:
+        self.store = store
+        self.node_fn = node_fn
+        self.ctx = ctx
+
+    def prepare(
+        self, internal: list[OwnNode], peripheral: list[OwnNode], key: str | None = None
+    ) -> None:
+        """Nothing to precompute: values are produced node by node."""
+
+    def compute(self, nodes: list[OwnNode]) -> None:
+        for node in nodes:
+            _compute_node(self.store, node, self.node_fn, self.ctx)
+
+    def each(self, nodes: list[OwnNode]) -> Iterator[tuple[OwnNode, Any]]:
+        for node in nodes:
+            _compute_node(self.store, node, self.node_fn, self.ctx)
+            yield node, node.data.most_recent_data
 
 
-def _commit(store: NodeStore, ctx: ComputeContext) -> None:
-    changed = store.commit_owned()
-    ctx.changed_last_sweep = len(changed)
-    # Every owned node was recomputed, so every one pays the update charge
-    # (identical to the pre-delta cost model).
-    ctx._bookkeeping(ctx.costs.update_cost * store.num_owned())
-
-
-def _send_all(comm: Communicator, buffers: CommBuffers) -> list[int]:
-    """Isend every nonempty buffer; returns the peer list (symmetric).
-
-    Buffers are snapshotted into tuples: the in-process transport passes
-    payloads by reference, and the next sweep's ``buffers.reset()`` would
-    otherwise mutate a list the receiver has not drained yet.
-    """
-    peers = buffers.nonempty_procs()
-    for q in peers:
-        comm.isend(tuple(buffers.outgoing(q)), q, tag=TAG_SHADOW, nbytes=buffers.nbytes(q))
-    return peers
-
-
-def _unpack(store: NodeStore, records: list[tuple[int, Any]], ctx: ComputeContext) -> None:
-    for gid, value in records:
-        store.update_shadow(gid, value)
-    # Per-record constant plus the appendix's linear scan of the global
-    # data node list while locating each record's home.
-    ctx._comm_overhead(
-        len(records)
-        * (ctx.costs.unpack_cost + ctx.costs.unpack_scan_item_cost * ctx.num_nodes / 2)
-    )
-
-
-def sweep_basic(
-    comm: Communicator,
-    store: NodeStore,
-    node_fn: NodeFn,
-    ctx: ComputeContext,
-    buffers: CommBuffers,
-) -> None:
-    """One Figure-8 compute+communicate sweep.
-
-    ``ComputeOverNodes``: internals, then peripherals with packing, then
-    commit.  ``CommunicateShadows``: Isend all buffers, blocking-receive
-    from each neighbouring processor, unpack into the data node list.
-    """
-    buffers.reset()
-    for node in store.internal.values():
-        _compute_node(store, node, node_fn, ctx)
-    for node in store.peripheral.values():
-        _compute_node(store, node, node_fn, ctx)
-        _pack_node(node, buffers, ctx)
-    _commit(store, ctx)
-
-    peers = _send_all(comm, buffers)
-    # Per-peer receive-buffer allocation + initialization (appendix mallocs
-    # a MAX_SIZE recvbuffer per neighbouring processor every call).
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(peers))
-    received = [comm.recv(source=q, tag=TAG_SHADOW) for q in peers]
-    # The appendix's CommunicateShadows synchronizes all ranks between the
-    # receive loop and the buffer unpacking (its MPI_Barrier) -- one of the
-    # per-iteration couplings the overlapped Figure-8a variant removes.
-    comm.barrier()
-    for records in received:
-        _unpack(store, records, ctx)
-
-
-def sweep_overlapped(
-    comm: Communicator,
-    store: NodeStore,
-    node_fn: NodeFn,
-    ctx: ComputeContext,
-    buffers: CommBuffers,
-) -> None:
-    """One Figure-8a sweep: communication overlapped with internal compute.
-
-    Peripheral nodes are processed and dispatched first; receives are
-    posted nonblocking; internal nodes compute while the shadow messages
-    are in flight; finally the receives are waited on and unpacked.
-    """
-    buffers.reset()
-    for node in store.peripheral.values():
-        _compute_node(store, node, node_fn, ctx)
-        _pack_node(node, buffers, ctx)
-
-    peers = _send_all(comm, buffers)
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(peers))
-    requests = [(q, comm.irecv(source=q, tag=TAG_SHADOW)) for q in peers]
-
-    for node in store.internal.values():
-        _compute_node(store, node, node_fn, ctx)
-    _commit(store, ctx)
-
-    for _, req in requests:
-        records = req.wait()
-        _unpack(store, records, ctx)
-
-
-# --------------------------------------------------------------------- #
-# Change-driven (delta / active-set) pipelines
-# --------------------------------------------------------------------- #
-
-
-class DeltaState:
-    """Per-rank state of the change-driven execution mode.
-
-    Holds one *dirty set* per communication round: the owned nodes whose
-    own or neighbour value changed since the start of that round's last
-    sweep.  ``None`` marks a round as *dense* -- every owned node computes
-    (the first iteration, and after any ownership change: migration,
-    repartition, shrink recovery, rollback to a version-less rebuild).
-
-    Per-round sets (rather than a single frontier) keep multi-round
-    applications like the battlefield simulation sound: round ``r``'s
-    function may move a value even when round ``r-1``'s left it alone, so a
-    node may only skip round ``r`` if nothing in its closed neighbourhood
-    changed since its last *round-r* evaluation.
-
-    ``parity`` indexes :data:`TAG_SHADOW_DELTA` and flips every sweep; it
-    advances in lockstep on all ranks (sweeps are collective), so it is
-    deliberately *not* checkpointed -- after a rollback the live value is
-    still synchronized, while the dirty sets are restored from the
-    checkpoint so the frontier does not resume empty.
-    """
-
-    def __init__(self, rounds: int) -> None:
-        self.rounds = rounds
-        self.parity = 0
-        self.dirty: list[set[int] | None] = [None] * rounds
-
-    def begin_sweep(self, round_idx: int) -> set[int] | None:
-        """Consume round ``round_idx``'s active set (None = dense sweep).
-
-        A fresh empty set replaces it, ready to collect the changes this
-        sweep produces.
-        """
-        active = self.dirty[round_idx]
-        self.dirty[round_idx] = set()
-        return active
-
-    def _touch(self, gid: int) -> None:
-        for dset in self.dirty:
-            if dset is not None:
-                dset.add(gid)
-
-    def record_commit(self, store: NodeStore, changed: list[int], ctx: ComputeContext) -> None:
-        """A committed owned value changed: it and its owned neighbours must
-        recompute in every round."""
-        cost = 0.0
-        for gid in changed:
-            self._touch(gid)
-            neighbors = store.graph.neighbors(gid)
-            for v in neighbors:
-                if store.owns(v):
-                    self._touch(v)
-            cost += ctx.costs.list_item_cost * (1 + len(neighbors))
-        if cost:
-            ctx._bookkeeping(cost)
-
-    def record_arrival(self, store: NodeStore, gid: int, ctx: ComputeContext) -> None:
-        """A shadow value changed: its owned neighbours must recompute."""
-        neighbors = store.graph.neighbors(gid)
-        for v in neighbors:
-            if store.owns(v):
-                self._touch(v)
-        ctx._bookkeeping(ctx.costs.list_item_cost * (1 + len(neighbors)))
-
-    def reset_dense(self) -> None:
-        """Fall back to dense sweeps for every round.
-
-        Called after any event that changes ownership or rebuilds stores
-        from bare values (migration, repartition, shrink recovery) -- a
-        dense round is a safe superset of any frontier, and purity makes
-        the extra evaluations value-neutral.
-        """
-        self.dirty = [None] * self.rounds
-
-    def capture(self) -> dict[str, Any]:
-        """Checkpoint payload: the dirty sets as deterministic lists."""
-        return {
-            "dirty": [sorted(d) if d is not None else None for d in self.dirty],
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        """Reinstate the frontier a checkpoint captured (rollback path)."""
-        self.dirty = [
-            set(d) if d is not None else None for d in state["dirty"]
-        ]
-
-
-def _active_nodes(
-    store: NodeStore, active: set[int] | None
-) -> tuple[list[OwnNode], list[OwnNode]]:
-    """The (internal, peripheral) nodes to compute this sweep, in gid order."""
-    if active is None:
-        return list(store.internal.values()), list(store.peripheral.values())
-    ordered = sorted(active)
-    internal = [store.internal[g] for g in ordered if g in store.internal]
-    peripheral = [store.peripheral[g] for g in ordered if g in store.peripheral]
-    return internal, peripheral
-
-
-def _pack_node_delta(node: OwnNode, buffers: CommBuffers, ctx: ComputeContext) -> None:
-    """Pack only if the freshly computed value differs from the committed
-    one -- receivers treat absent records as "shadow still current"."""
-    data = node.data
-    if data.most_recent_data is None or data.most_recent_data == data.data:
-        return
-    for proc in node.shadow_for_procs:
-        buffers.pack(proc, node.global_id, data.most_recent_data)
-        ctx._comm_overhead(ctx.costs.pack_cost)
-
-
-def _commit_delta(
-    store: NodeStore, ctx: ComputeContext, delta: DeltaState, active_count: int
-) -> None:
-    changed = store.commit_owned()
-    ctx.changed_last_sweep = len(changed)
-    # Only the recomputed nodes carry a pending value, so only they pay the
-    # update charge -- part of the sparse mode's virtual-time win.
-    ctx._bookkeeping(ctx.costs.update_cost * active_count)
-    delta.record_commit(store, changed, ctx)
-
-
-def _send_all_delta(comm: Communicator, buffers: CommBuffers, tag: int) -> None:
-    """Isend every nonempty buffer; empty sends are elided entirely (the
-    alpha saving -- no sender CPU, no wire cost, no receive to match)."""
-    for q in buffers.nonempty_procs():
-        comm.isend(tuple(buffers.outgoing(q)), q, tag=tag, nbytes=buffers.nbytes(q))
-
-
-def _unpack_delta(
-    store: NodeStore,
-    records: tuple[tuple[int, Any], ...],
-    ctx: ComputeContext,
-    delta: DeltaState,
-) -> None:
-    for gid, value in records:
-        if store.update_shadow(gid, value):
-            delta.record_arrival(store, gid, ctx)
-    ctx._comm_overhead(
-        len(records)
-        * (ctx.costs.unpack_cost + ctx.costs.unpack_scan_item_cost * ctx.num_nodes / 2)
-    )
-
-
-def sweep_basic_delta(
-    comm: Communicator,
-    store: NodeStore,
-    node_fn: NodeFn,
-    ctx: ComputeContext,
-    buffers: CommBuffers,
-    delta: DeltaState,
-) -> None:
-    """The Figure-8 sweep, change-driven.
-
-    Active nodes compute (internals then peripherals, gid order); only
-    changed peripheral values are packed and only nonempty buffers are
-    sent.  Elision breaks receive symmetry -- a rank can no longer post one
-    receive per graph neighbour -- so the sweep barrier doubles as the
-    delivery fence: afterwards the mailbox is asked which peers actually
-    sent this sweep's tag, and exactly those messages are received.
-    """
-    buffers.reset()
-    tag = TAG_SHADOW_DELTA[delta.parity]
-    delta.parity ^= 1
-    internal, peripheral = _active_nodes(store, delta.begin_sweep(ctx.round))
-    for node in internal:
-        _compute_node(store, node, node_fn, ctx)
-    for node in peripheral:
-        _compute_node(store, node, node_fn, ctx)
-        _pack_node_delta(node, buffers, ctx)
-    _commit_delta(store, ctx, delta, len(internal) + len(peripheral))
-
-    _send_all_delta(comm, buffers, tag)
-    # Delivery fence: every peer's sends of this sweep happen-before its
-    # barrier entry (sends are eagerly buffered), so after release the
-    # pending-sources query is deterministic.
-    comm.barrier()
-    sources = comm.pending_sources(tag)
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(sources))
-    received = [comm.recv(source=q, tag=tag) for q in sources]
-    for records in received:
-        _unpack_delta(store, records, ctx, delta)
-
-
-def sweep_overlapped_delta(
-    comm: Communicator,
-    store: NodeStore,
-    node_fn: NodeFn,
-    ctx: ComputeContext,
-    buffers: CommBuffers,
-    delta: DeltaState,
-) -> None:
-    """The Figure-8a sweep, change-driven.
-
-    Active peripherals compute and dispatch first; active internals compute
-    while the (changed-only) shadow messages are in flight; the barrier
-    then fences delivery and the discovered senders are drained.
-    """
-    buffers.reset()
-    tag = TAG_SHADOW_DELTA[delta.parity]
-    delta.parity ^= 1
-    internal, peripheral = _active_nodes(store, delta.begin_sweep(ctx.round))
-    for node in peripheral:
-        _compute_node(store, node, node_fn, ctx)
-        _pack_node_delta(node, buffers, ctx)
-    _send_all_delta(comm, buffers, tag)
-
-    for node in internal:
-        _compute_node(store, node, node_fn, ctx)
-    _commit_delta(store, ctx, delta, len(internal) + len(peripheral))
-
-    comm.barrier()
-    sources = comm.pending_sources(tag)
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(sources))
-    for q in sources:
-        _unpack_delta(store, comm.recv(source=q, tag=tag), ctx, delta)
-
-
-# --------------------------------------------------------------------- #
-# Bulk (struct-of-arrays) pipelines
-# --------------------------------------------------------------------- #
-#
 # When the store is a SoAStore and the node function carries a *bulk
 # kernel* (``fn.bulk``: a callable ``kernel(view) -> ndarray`` with a
 # ``node_grain`` float attribute), the sweep computes every active node's
@@ -658,286 +559,196 @@ def _bulk_values(
     return store.scatter_pending(positions, kernel(view))
 
 
-def sweep_basic_bulk(
-    comm: Communicator,
-    store: SoAStore,
-    node_fn: NodeFn,
-    ctx: ComputeContext,
-    buffers: CommBuffers,
+class _BulkKernel:
+    """One vectorized ``fn.bulk`` pass per sweep, then the charge replay."""
+
+    def __init__(self, store: SoAStore, node_fn: NodeFn, ctx: ComputeContext) -> None:
+        self.store = store
+        self.kernel = node_fn.bulk
+        self.grain = self.kernel.node_grain
+        self.ctx = ctx
+        #: Per-degree list-forming charge, memoized for the sweep.
+        self.book: dict[int, float] = {}
+        self._peripheral_values: list = []
+
+    def prepare(
+        self, internal: list[OwnNode], peripheral: list[OwnNode], key: str | None = None
+    ) -> None:
+        """Compute ``internal + peripheral`` in one pass.  A ``key`` names a
+        dense pass over the whole owned set (memoized view geometry)."""
+        nodes = None if key is not None else internal + peripheral
+        values = _bulk_values(self.store, self.kernel, self.ctx, nodes, key)
+        self._peripheral_values = values[len(internal):]
+
+    def compute(self, nodes: list[OwnNode]) -> None:
+        _replay_compute(nodes, self.grain, self.ctx, self.book)
+
+    def each(self, nodes: list[OwnNode]) -> Iterator[tuple[OwnNode, Any]]:
+        for node, value in zip(nodes, self._peripheral_values):
+            _replay_node(node, self.grain, self.ctx, self.book)
+            yield node, value
+
+
+# --------------------------------------------------------------------- #
+# Shared pack / commit / send / unpack steps
+# --------------------------------------------------------------------- #
+
+
+def _pack(
+    node: OwnNode, value: Any, buffers: CommBuffers, ctx: ComputeContext, changed_only: bool
 ) -> None:
-    """:func:`sweep_basic`, vectorized over the struct-of-arrays store."""
-    kernel = node_fn.bulk
-    buffers.reset()
-    values = _bulk_values(store, kernel, ctx, None, key="dense")
-    internal = list(store.internal.values())
-    peripheral = list(store.peripheral.values())
-    grain = kernel.node_grain
-    book: dict[int, float] = {}
-    _replay_compute(internal, grain, ctx, book)
-    n_int = len(internal)
+    """Pack a freshly computed peripheral value for every replica holder.
+
+    Change-driven sweeps skip values equal to the committed one: receivers
+    treat absent records as "shadow still current".
+    """
+    if changed_only and (value is None or value == node.data.data):
+        return
     pack_cost = ctx.costs.pack_cost
-    for i, node in enumerate(peripheral):
-        _replay_node(node, grain, ctx, book)
-        value = values[n_int + i]
-        for proc in node.shadow_for_procs:
-            buffers.pack(proc, node.global_id, value)
-            ctx._comm_overhead(pack_cost)
-    _commit(store, ctx)
-
-    peers = _send_all(comm, buffers)
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(peers))
-    received = [comm.recv(source=q, tag=TAG_SHADOW) for q in peers]
-    comm.barrier()
-    for records in received:
-        _unpack(store, records, ctx)
+    for proc in node.shadow_for_procs:
+        buffers.pack(proc, node.global_id, value)
+        ctx._comm_overhead(pack_cost)
 
 
-def sweep_overlapped_bulk(
-    comm: Communicator,
-    store: SoAStore,
-    node_fn: NodeFn,
-    ctx: ComputeContext,
-    buffers: CommBuffers,
+def _commit(
+    store: NodeStore, ctx: ComputeContext, computed: int, frontier: DeltaState | None
+) -> int:
+    """Commit pending values; returns how many changed.
+
+    Only recomputed nodes carry a pending value, so only they pay the update
+    charge (every owned node, on a dense sweep).
+    """
+    changed = store.commit_owned()
+    ctx._bookkeeping(ctx.costs.update_cost * computed)
+    if frontier is not None:
+        frontier.record_commit(store, changed, ctx)
+    return len(changed)
+
+
+def _send_all(comm: Communicator, buffers: CommBuffers, tag: int) -> list[int]:
+    """Isend every nonempty buffer; returns the peer list.
+
+    Empty sends are never made (on dense sweeps the peer set is symmetric;
+    change-driven sweeps save the alpha of unchanged halos).  Buffers are
+    snapshotted into tuples: the in-process transport passes payloads by
+    reference, and the next sweep's ``buffers.reset()`` would otherwise
+    mutate a list the receiver has not drained yet.
+    """
+    peers = buffers.nonempty_procs()
+    for q in peers:
+        comm.isend(tuple(buffers.outgoing(q)), q, tag=tag, nbytes=buffers.nbytes(q))
+    return peers
+
+
+def _unpack(
+    store: NodeStore, records: tuple, ctx: ComputeContext, frontier: DeltaState | None
 ) -> None:
-    """:func:`sweep_overlapped`, vectorized over the struct-of-arrays store."""
-    kernel = node_fn.bulk
-    buffers.reset()
-    values = _bulk_values(store, kernel, ctx, None, key="dense")
-    internal = list(store.internal.values())
-    peripheral = list(store.peripheral.values())
-    grain = kernel.node_grain
-    book: dict[int, float] = {}
-    n_int = len(internal)
-    pack_cost = ctx.costs.pack_cost
-    for i, node in enumerate(peripheral):
-        _replay_node(node, grain, ctx, book)
-        value = values[n_int + i]
-        for proc in node.shadow_for_procs:
-            buffers.pack(proc, node.global_id, value)
-            ctx._comm_overhead(pack_cost)
-
-    peers = _send_all(comm, buffers)
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(peers))
-    requests = [(q, comm.irecv(source=q, tag=TAG_SHADOW)) for q in peers]
-
-    _replay_compute(internal, grain, ctx, book)
-    _commit(store, ctx)
-
-    for _, req in requests:
-        records = req.wait()
-        _unpack(store, records, ctx)
+    for gid, value in records:
+        if store.update_shadow(gid, value) and frontier is not None:
+            frontier.record_arrival(store, gid, ctx)
+    # Per-record constant plus the appendix's linear scan of the global
+    # data node list while locating each record's home.
+    ctx._comm_overhead(
+        len(records)
+        * (ctx.costs.unpack_cost + ctx.costs.unpack_scan_item_cost * ctx.num_nodes / 2)
+    )
 
 
-def sweep_basic_delta_bulk(
-    comm: Communicator,
-    store: SoAStore,
-    node_fn: NodeFn,
-    ctx: ComputeContext,
-    buffers: CommBuffers,
-    delta: DeltaState,
+def _receive_fenced(
+    comm: Communicator, store: NodeStore, ctx: ComputeContext, frontier: DeltaState,
+    tag: int, interleave: bool,
 ) -> None:
-    """:func:`sweep_basic_delta`, vectorized: the active set becomes an
-    index array and the sparse sweep a gather-compute-scatter."""
-    kernel = node_fn.bulk
-    buffers.reset()
-    tag = TAG_SHADOW_DELTA[delta.parity]
-    delta.parity ^= 1
-    internal, peripheral = _active_nodes(store, delta.begin_sweep(ctx.round))
-    values = _bulk_values(store, kernel, ctx, internal + peripheral, key=None)
-    grain = kernel.node_grain
-    book: dict[int, float] = {}
-    _replay_compute(internal, grain, ctx, book)
-    n_int = len(internal)
-    pack_cost = ctx.costs.pack_cost
-    for i, node in enumerate(peripheral):
-        _replay_node(node, grain, ctx, book)
-        value = values[n_int + i]
-        if value is None or value == node.data.data:
-            continue
-        for proc in node.shadow_for_procs:
-            buffers.pack(proc, node.global_id, value)
-            ctx._comm_overhead(pack_cost)
-    _commit_delta(store, ctx, delta, len(internal) + len(peripheral))
-
-    _send_all_delta(comm, buffers, tag)
+    """Change-driven receive: elided sends break receive symmetry, so the
+    barrier doubles as the delivery fence -- every peer's sends of this
+    sweep happen-before its barrier entry (sends are eagerly buffered), so
+    afterwards the pending-sources query is deterministic -- and exactly
+    the discovered senders are drained."""
     comm.barrier()
     sources = comm.pending_sources(tag)
     ctx._comm_overhead(ctx.costs.recv_setup_cost * len(sources))
+    if interleave:
+        for q in sources:
+            _unpack(store, comm.recv(source=q, tag=tag), ctx, frontier)
+        return
     received = [comm.recv(source=q, tag=tag) for q in sources]
     for records in received:
-        _unpack_delta(store, records, ctx, delta)
+        _unpack(store, records, ctx, frontier)
 
 
-def sweep_overlapped_delta_bulk(
+# --------------------------------------------------------------------- #
+# Drivers
+# --------------------------------------------------------------------- #
+
+
+def _sweep_bsp(
     comm: Communicator,
-    store: SoAStore,
+    store: NodeStore,
     node_fn: NodeFn,
     ctx: ComputeContext,
     buffers: CommBuffers,
-    delta: DeltaState,
+    frontier: DeltaState | None = None,
+    *,
+    kernel_cls: type,
+    overlap: bool,
 ) -> None:
-    """:func:`sweep_overlapped_delta`, vectorized (see
-    :func:`sweep_basic_delta_bulk`)."""
-    kernel = node_fn.bulk
+    """One globally synchronous sweep: dense (``frontier=None``) or
+    change-driven, through the Figure-8 or Figure-8a pipeline."""
     buffers.reset()
-    tag = TAG_SHADOW_DELTA[delta.parity]
-    delta.parity ^= 1
-    internal, peripheral = _active_nodes(store, delta.begin_sweep(ctx.round))
-    values = _bulk_values(store, kernel, ctx, internal + peripheral, key=None)
-    grain = kernel.node_grain
-    book: dict[int, float] = {}
-    n_int = len(internal)
-    pack_cost = ctx.costs.pack_cost
-    for i, node in enumerate(peripheral):
-        _replay_node(node, grain, ctx, book)
-        value = values[n_int + i]
-        if value is None or value == node.data.data:
-            continue
-        for proc in node.shadow_for_procs:
-            buffers.pack(proc, node.global_id, value)
-            ctx._comm_overhead(pack_cost)
-    _send_all_delta(comm, buffers, tag)
+    kernel = kernel_cls(store, node_fn, ctx)
+    if frontier is None:
+        tag, key = TAG_SHADOW, "dense"
+        internal, peripheral = list(store.internal.values()), list(store.peripheral.values())
+    else:
+        tag, key = frontier.next_tag(), None
+        active = frontier.begin_sweep(ctx.round)
+        internal, peripheral = _select(store.internal, active), _select(store.peripheral, active)
+    kernel.prepare(internal, peripheral, key)
 
-    _replay_compute(internal, grain, ctx, book)
-    _commit_delta(store, ctx, delta, len(internal) + len(peripheral))
+    # ---- ComputeOverNodes (+ dispatch, when overlapped) ----------------
+    if not overlap:
+        kernel.compute(internal)
+    for node, value in kernel.each(peripheral):
+        _pack(node, value, buffers, ctx, changed_only=frontier is not None)
+    if overlap:
+        peers = _send_all(comm, buffers, tag)
+        if frontier is None:
+            # Figure 8a: post the receives, then compute the internals
+            # while the shadow messages are in flight.
+            ctx._comm_overhead(ctx.costs.recv_setup_cost * len(peers))
+            requests = [comm.irecv(source=q, tag=tag) for q in peers]
+        kernel.compute(internal)
+    ctx.changed_last_sweep = _commit(store, ctx, len(internal) + len(peripheral), frontier)
+    if not overlap:
+        peers = _send_all(comm, buffers, tag)
 
-    comm.barrier()
-    sources = comm.pending_sources(tag)
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(sources))
-    for q in sources:
-        _unpack_delta(store, comm.recv(source=q, tag=tag), ctx, delta)
-
-
-# --------------------------------------------------------------------- #
-# Hybrid sync/async (GraphHP) pipeline
-# --------------------------------------------------------------------- #
-
-
-class HybridState:
-    """Per-rank state of the hybrid (GraphHP-style) execution mode.
-
-    Like :class:`DeltaState`, but the per-round frontier is *split by node
-    class*: ``boundary[r]`` holds active peripheral nodes (computed once
-    per superstep, in the globally synchronized boundary phase) and
-    ``interior[r]`` holds active interior nodes (iterated locally to
-    convergence inside the superstep).  ``None`` marks a frontier dense.
-    A changed node activates its owned neighbours into whichever frontier
-    their classification demands, so migration/repartition/shrink (which
-    rebuild the classification) are handled by the same
-    :meth:`reset_dense` fallback the delta mode uses.
-
-    ``parity`` flips once per *superstep* (not per inner sweep -- interior
-    iteration is message-free, so the exchange tags stay lockstep across
-    ranks with different inner-sweep counts) and is deliberately not
-    checkpointed, like :class:`DeltaState.parity`.  The cumulative
-    ``inner_sweeps`` counter *is* checkpointed: it rides snapshots so a
-    rollback replays to bit-identical telemetry.
-    """
-
-    def __init__(self, rounds: int, inner_cap: int) -> None:
-        self.rounds = rounds
-        self.inner_cap = inner_cap
-        self.parity = 0
-        self.boundary: list[set[int] | None] = [None] * rounds
-        self.interior: list[set[int] | None] = [None] * rounds
-        #: Interior sweeps executed over the whole run (telemetry).
-        self.inner_sweeps = 0
-
-    def begin_boundary(self, round_idx: int) -> set[int] | None:
-        """Consume round ``round_idx``'s boundary frontier (None = dense)."""
-        active = self.boundary[round_idx]
-        self.boundary[round_idx] = set()
-        return active
-
-    def begin_interior(self, round_idx: int) -> set[int] | None:
-        """Consume round ``round_idx``'s interior frontier (None = dense)."""
-        active = self.interior[round_idx]
-        self.interior[round_idx] = set()
-        return active
-
-    def _touch(self, store: NodeStore, gid: int) -> None:
-        frontiers = (
-            self.boundary if gid in store.peripheral else self.interior
-        )
-        for fset in frontiers:
-            if fset is not None:
-                fset.add(gid)
-
-    def record_commit(
-        self, store: NodeStore, changed: list[int], ctx: ComputeContext
-    ) -> None:
-        """A committed owned value changed: it and its owned neighbours must
-        recompute in every round, each in its own class's frontier."""
-        cost = 0.0
-        for gid in changed:
-            self._touch(store, gid)
-            neighbors = store.graph.neighbors(gid)
-            for v in neighbors:
-                if store.owns(v):
-                    self._touch(store, v)
-            cost += ctx.costs.list_item_cost * (1 + len(neighbors))
-        if cost:
-            ctx._bookkeeping(cost)
-
-    def record_arrival(self, store: NodeStore, gid: int, ctx: ComputeContext) -> None:
-        """A shadow value changed: its owned neighbours must recompute.
-
-        Every owned neighbour of a shadow is peripheral by definition, so
-        arrivals only ever grow the *boundary* frontier -- the invariant
-        that lets the interior phase run before this superstep's messages
-        are drained.
-        """
-        neighbors = store.graph.neighbors(gid)
-        for v in neighbors:
-            if store.owns(v):
-                self._touch(store, v)
-        ctx._bookkeeping(ctx.costs.list_item_cost * (1 + len(neighbors)))
-
-    def reset_dense(self) -> None:
-        """Fall back to dense phases for every round (ownership changed)."""
-        self.boundary = [None] * self.rounds
-        self.interior = [None] * self.rounds
-
-    def capture(self) -> dict[str, Any]:
-        """Checkpoint payload: both frontiers plus the inner-sweep counter."""
-        return {
-            "boundary": [sorted(d) if d is not None else None for d in self.boundary],
-            "interior": [sorted(d) if d is not None else None for d in self.interior],
-            "inner_sweeps": self.inner_sweeps,
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        """Reinstate the frontiers and counter a checkpoint captured."""
-        self.boundary = [
-            set(d) if d is not None else None for d in state["boundary"]
-        ]
-        self.interior = [
-            set(d) if d is not None else None for d in state["interior"]
-        ]
-        self.inner_sweeps = state["inner_sweeps"]
+    # ---- CommunicateShadows --------------------------------------------
+    if frontier is not None:
+        _receive_fenced(comm, store, ctx, frontier, tag, interleave=overlap)
+    elif overlap:
+        for req in requests:
+            _unpack(store, req.wait(), ctx, None)
+    else:
+        # Per-peer receive-buffer allocation + initialization (the appendix
+        # mallocs a MAX_SIZE recvbuffer per neighbouring processor).
+        ctx._comm_overhead(ctx.costs.recv_setup_cost * len(peers))
+        received = [comm.recv(source=q, tag=tag) for q in peers]
+        # The appendix's CommunicateShadows synchronizes all ranks between
+        # the receive loop and the unpacking (its MPI_Barrier) -- one of the
+        # per-iteration couplings the overlapped Figure-8a variant removes.
+        comm.barrier()
+        for records in received:
+            _unpack(store, records, ctx, None)
 
 
-def _boundary_nodes(store: NodeStore, active: set[int] | None) -> list[OwnNode]:
-    """The peripheral nodes to compute this boundary phase, gid order."""
-    if active is None:
-        return list(store.peripheral.values())
-    return [store.peripheral[g] for g in sorted(active) if g in store.peripheral]
-
-
-def _interior_nodes(store: NodeStore, active: set[int] | None) -> list[OwnNode]:
-    """The interior nodes to compute this inner sweep, gid order."""
-    if active is None:
-        return list(store.internal.values())
-    return [store.internal[g] for g in sorted(active) if g in store.internal]
-
-
-def sweep_hybrid(
+def _sweep_hybrid(
     comm: Communicator,
     store: NodeStore,
     node_fn: NodeFn,
     ctx: ComputeContext,
     buffers: CommBuffers,
     hybrid: HybridState,
+    *,
+    kernel_cls: type,
 ) -> None:
     """One GraphHP-style two-phase superstep.
 
@@ -946,10 +757,9 @@ def sweep_hybrid(
     restricted to the cut.  Interior phase: the interior frontier is
     iterated locally until it drains or ``inner_cap`` sweeps have run,
     each sweep committing and re-deriving the next frontier, with no
-    communication at all -- it runs between the Isend and the barrier, so
-    it overlaps the exchange for free.  Finally the barrier fences
-    delivery and the discovered senders are drained; arrivals activate
-    only boundary nodes, for the *next* superstep.
+    communication at all.  Finally the barrier fences delivery and the
+    discovered senders are drained; arrivals activate only boundary nodes,
+    for the *next* superstep.
 
     Quiescence safety: ``changed_last_sweep`` counts boundary plus all
     interior commits.  Frontier entries are only ever created by a
@@ -959,115 +769,48 @@ def sweep_hybrid(
     always has a nonzero change count backing it.
     """
     buffers.reset()
-    tag = TAG_SHADOW_DELTA[hybrid.parity]
-    hybrid.parity ^= 1
+    kernel = kernel_cls(store, node_fn, ctx)
+    tag = hybrid.next_tag()
     round_idx = ctx.round
 
     # ---- Boundary phase (globally synchronous, delta exchange) -------
-    boundary = _boundary_nodes(store, hybrid.begin_boundary(round_idx))
-    for node in boundary:
-        _compute_node(store, node, node_fn, ctx)
-        _pack_node_delta(node, buffers, ctx)
-    changed = store.commit_owned()
-    total_changed = len(changed)
-    ctx._bookkeeping(ctx.costs.update_cost * len(boundary))
+    boundary = _select(store.peripheral, hybrid.begin_sweep(round_idx))
+    kernel.prepare([], boundary)
+    for node, value in kernel.each(boundary):
+        _pack(node, value, buffers, ctx, changed_only=True)
     # Boundary changes land in the *unconsumed* interior frontier, feeding
     # this superstep's interior phase; interior commits below land in the
     # fresh boundary frontier, feeding the next superstep.
-    hybrid.record_commit(store, changed, ctx)
-    _send_all_delta(comm, buffers, tag)
+    changed = _commit(store, ctx, len(boundary), hybrid)
+    _send_all(comm, buffers, tag)
 
     # ---- Interior phase (local, asynchronous, overlaps the exchange) --
     sweeps = 0
     while sweeps < hybrid.inner_cap:
-        nodes = _interior_nodes(store, hybrid.begin_interior(round_idx))
+        nodes = _select(store.internal, hybrid.begin_interior(round_idx))
         if not nodes:
             break
         sweeps += 1
-        for node in nodes:
-            _compute_node(store, node, node_fn, ctx)
-        changed = store.commit_owned()
-        total_changed += len(changed)
-        ctx._bookkeeping(ctx.costs.update_cost * len(nodes))
-        hybrid.record_commit(store, changed, ctx)
+        kernel.prepare(nodes, [])
+        kernel.compute(nodes)
+        changed += _commit(store, ctx, len(nodes), hybrid)
     hybrid.inner_sweeps += sweeps
-    ctx.changed_last_sweep = total_changed
+    ctx.changed_last_sweep = changed
 
     # ---- Exchange completion -----------------------------------------
-    comm.barrier()
-    sources = comm.pending_sources(tag)
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(sources))
-    received = [comm.recv(source=q, tag=tag) for q in sources]
-    for records in received:
-        # HybridState.record_arrival matches DeltaState's signature, so the
-        # delta unpacker threads it unchanged.
-        _unpack_delta(store, records, ctx, hybrid)
+    _receive_fenced(comm, store, ctx, hybrid, tag, interleave=False)
 
 
-def sweep_hybrid_bulk(
-    comm: Communicator,
-    store: SoAStore,
-    node_fn: NodeFn,
-    ctx: ComputeContext,
-    buffers: CommBuffers,
-    hybrid: HybridState,
-) -> None:
-    """:func:`sweep_hybrid`, vectorized over the struct-of-arrays store.
-
-    Each phase is one gather-compute-scatter over an anonymous sparse
-    :class:`~repro.core.soastore.BulkView` (boundary set, then the interior
-    frontier of every inner sweep) with the scalar charge sequence
-    replayed, so clocks and values stay bit-identical to the scalar
-    pipeline on either store.  Converging interior frontiers revisit the
-    same position sets, which the store's geometry LRU turns into cache
-    hits.
-    """
-    kernel = node_fn.bulk
-    buffers.reset()
-    tag = TAG_SHADOW_DELTA[hybrid.parity]
-    hybrid.parity ^= 1
-    round_idx = ctx.round
-    grain = kernel.node_grain
-    book: dict[int, float] = {}
-    pack_cost = ctx.costs.pack_cost
-
-    # ---- Boundary phase ----------------------------------------------
-    boundary = _boundary_nodes(store, hybrid.begin_boundary(round_idx))
-    values = _bulk_values(store, kernel, ctx, boundary, key=None)
-    for i, node in enumerate(boundary):
-        _replay_node(node, grain, ctx, book)
-        value = values[i]
-        if value is None or value == node.data.data:
-            continue
-        for proc in node.shadow_for_procs:
-            buffers.pack(proc, node.global_id, value)
-            ctx._comm_overhead(pack_cost)
-    changed = store.commit_owned()
-    total_changed = len(changed)
-    ctx._bookkeeping(ctx.costs.update_cost * len(boundary))
-    hybrid.record_commit(store, changed, ctx)
-    _send_all_delta(comm, buffers, tag)
-
-    # ---- Interior phase ----------------------------------------------
-    sweeps = 0
-    while sweeps < hybrid.inner_cap:
-        nodes = _interior_nodes(store, hybrid.begin_interior(round_idx))
-        if not nodes:
-            break
-        sweeps += 1
-        _bulk_values(store, kernel, ctx, nodes, key=None)
-        _replay_compute(nodes, grain, ctx, book)
-        changed = store.commit_owned()
-        total_changed += len(changed)
-        ctx._bookkeeping(ctx.costs.update_cost * len(nodes))
-        hybrid.record_commit(store, changed, ctx)
-    hybrid.inner_sweeps += sweeps
-    ctx.changed_last_sweep = total_changed
-
-    # ---- Exchange completion -----------------------------------------
-    comm.barrier()
-    sources = comm.pending_sources(tag)
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(sources))
-    received = [comm.recv(source=q, tag=tag) for q in sources]
-    for records in received:
-        _unpack_delta(store, records, ctx, hybrid)
+# The ten public sweep names: one binding of a driver each (see the module
+# docstring for why they remain).  The ``_delta`` names run change-driven
+# because the caller passes them a DeltaState.
+sweep_basic = partial(_sweep_bsp, kernel_cls=_ScalarKernel, overlap=False)
+sweep_overlapped = partial(_sweep_bsp, kernel_cls=_ScalarKernel, overlap=True)
+sweep_basic_delta = partial(_sweep_bsp, kernel_cls=_ScalarKernel, overlap=False)
+sweep_overlapped_delta = partial(_sweep_bsp, kernel_cls=_ScalarKernel, overlap=True)
+sweep_basic_bulk = partial(_sweep_bsp, kernel_cls=_BulkKernel, overlap=False)
+sweep_overlapped_bulk = partial(_sweep_bsp, kernel_cls=_BulkKernel, overlap=True)
+sweep_basic_delta_bulk = partial(_sweep_bsp, kernel_cls=_BulkKernel, overlap=False)
+sweep_overlapped_delta_bulk = partial(_sweep_bsp, kernel_cls=_BulkKernel, overlap=True)
+sweep_hybrid = partial(_sweep_hybrid, kernel_cls=_ScalarKernel)
+sweep_hybrid_bulk = partial(_sweep_hybrid, kernel_cls=_BulkKernel)

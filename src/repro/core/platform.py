@@ -343,38 +343,30 @@ class ICPlatform:
     def _rank_main(self, comm: Communicator, partition: Partition) -> RankOutcome:
         config = self.config
         phases = PhaseTimes()
-        # Hybrid execution supersedes the activation switch: its frontiers
-        # are inherently change-driven, so a DeltaState would be redundant.
-        hybrid = (
-            HybridState(len(self.node_fns), config.hybrid_inner_cap)
-            if config.execution == "hybrid"
-            else None
-        )
-        # Change-driven mode threads a DeltaState through the sweeps; the
-        # dense pipelines keep the thesis's exact behaviour.
-        delta = (
-            DeltaState(len(self.node_fns))
-            if hybrid is None and config.activation == "sparse"
-            else None
-        )
-        # The struct-of-arrays store takes the vectorized pipelines whenever
+        # The struct-of-arrays store takes the vectorized kernel whenever
         # every node function ships a bulk kernel; functions without one
-        # (imbalance schedules, battlefield) run the scalar sweeps, which
-        # are equally conformant on either store.
+        # (imbalance schedules, battlefield) run the scalar kernel, which
+        # is equally conformant on either store.
         store_cls = SoAStore if config.store == "soa" else NodeStore
         bulk = config.store == "soa" and supports_bulk(self.node_fns)
-        if hybrid is not None:
-            hybrid_sweep = sweep_hybrid_bulk if bulk else sweep_hybrid
-            sweep = lambda c, s, fn, cx, buf: hybrid_sweep(c, s, fn, cx, buf, hybrid)  # noqa: E731
-        elif delta is not None:
-            if config.overlap_communication:
-                delta_sweep = (
-                    sweep_overlapped_delta_bulk if bulk else sweep_overlapped_delta
-                )
+        overlap = config.overlap_communication
+        # The frontier: None for the thesis's dense sweeps, a DeltaState for
+        # change-driven ones, a HybridState for GraphHP supersteps (hybrid
+        # execution supersedes the activation switch -- its frontiers are
+        # inherently change-driven).  The sweep names resolve through this
+        # module's namespace at run time, so wrappers put on the module
+        # attributes (tracing) see every sweep call.
+        frontier: DeltaState | None = None
+        if config.execution == "hybrid":
+            frontier = HybridState(len(self.node_fns), config.hybrid_inner_cap)
+            sweep = sweep_hybrid_bulk if bulk else sweep_hybrid
+        elif config.activation == "sparse":
+            frontier = DeltaState(len(self.node_fns))
+            if overlap:
+                sweep = sweep_overlapped_delta_bulk if bulk else sweep_overlapped_delta
             else:
-                delta_sweep = sweep_basic_delta_bulk if bulk else sweep_basic_delta
-            sweep = lambda c, s, fn, cx, buf: delta_sweep(c, s, fn, cx, buf, delta)  # noqa: E731
-        elif config.overlap_communication:
+                sweep = sweep_basic_delta_bulk if bulk else sweep_basic_delta
+        elif overlap:
             sweep = sweep_overlapped_bulk if bulk else sweep_overlapped
         else:
             sweep = sweep_basic_bulk if bulk else sweep_basic
@@ -454,31 +446,28 @@ class ICPlatform:
 
         def loop_extras() -> dict[str, Any]:
             # Rollback-sensitive loop state that lives outside the store.
-            return {
+            extras = {
                 "window_exec_time": window_exec_time,
                 "migrations": list(migrations),
                 "repartitions": repartitions,
                 "node_compute": dict(ctx.node_compute),
-                "delta": delta.capture() if delta is not None else None,
-                "hybrid": hybrid.capture() if hybrid is not None else None,
+                "delta": None,
+                "hybrid": None,
             }
+            if frontier is not None:
+                extras[frontier.checkpoint_key] = frontier.capture()
+            return extras
 
-        def restore_delta(extras: dict[str, Any]) -> None:
+        def restore_frontier(extras: dict[str, Any]) -> None:
             # Reinstate the change frontier a checkpoint captured -- a
             # rollback must not resume with an empty frontier (nodes whose
             # pending changes were rolled back would never recompute).
-            if delta is not None:
-                saved = extras.get("delta")
+            if frontier is not None:
+                saved = extras.get(frontier.checkpoint_key)
                 if saved is not None:
-                    delta.restore(saved)
+                    frontier.restore(saved)
                 else:
-                    delta.reset_dense()
-            if hybrid is not None:
-                saved = extras.get("hybrid")
-                if saved is not None:
-                    hybrid.restore(saved)
-                else:
-                    hybrid.reset_dense()
+                    frontier.reset_dense()
 
         if has_crashes or (digesting and has_flips) or checkpointer.period:
             # Post-initialization baseline: guarantees a recovery point even
@@ -542,9 +531,7 @@ class ICPlatform:
                             reconfigurations=reconfigurations,
                             integrity_records=integrity_records,
                             repairs=repairs,
-                            inner_sweeps=(
-                                hybrid.inner_sweeps if hybrid is not None else 0
-                            ),
+                            inner_sweeps=getattr(frontier, "inner_sweeps", 0),
                             sparse_geom_hits=getattr(store, "sparse_geom_hits", 0),
                             sparse_geom_misses=getattr(
                                 store, "sparse_geom_misses", 0
@@ -564,16 +551,11 @@ class ICPlatform:
                     migrations[:] = extras["migrations"]
                     repartitions = extras["repartitions"]
                     ctx.node_compute = dict(extras["node_compute"])
-                    if delta is not None:
+                    if frontier is not None:
                         # The survivor stores were rebuilt from bare values
-                        # (fresh version counters), so any saved frontier is
-                        # meaningless: fall back to dense sweeps.
-                        delta.reset_dense()
-                    if hybrid is not None:
-                        # Same argument -- and the interior/boundary split was
-                        # recomputed by the rebuild, so dense phases re-derive
-                        # the frontiers from the new classification.
-                        hybrid.reset_dense()
+                        # (fresh version counters) and reclassified, so any
+                        # saved frontier is meaningless: fall back to dense.
+                        frontier.reset_dense()
                     if guard is not None:
                         guard.rebind(comm, store)
                     recovery_elapsed = comm.Wtime() - t_rec
@@ -624,7 +606,7 @@ class ICPlatform:
                     migrations[:] = extras["migrations"]
                     repartitions = extras["repartitions"]
                     ctx.node_compute = dict(extras["node_compute"])
-                    restore_delta(extras)
+                    restore_frontier(extras)
                     if guard is not None:
                         guard.reset_after_restore()
                     comm.barrier()
@@ -695,7 +677,7 @@ class ICPlatform:
                     migrations[:] = extras["migrations"]
                     repartitions = extras["repartitions"]
                     ctx.node_compute = dict(extras["node_compute"])
-                    restore_delta(extras)
+                    restore_frontier(extras)
                     guard.reset_after_restore()
                     comm.barrier()
                     event_cost = comm.Wtime() - t_ig
@@ -732,7 +714,7 @@ class ICPlatform:
                 compute0 = ctx.compute_time
                 overhead0 = ctx.comm_overhead_time
                 book0 = ctx.bookkeeping_time
-                sweep(comm, store, node_fn, ctx, buffers)
+                sweep(comm, store, node_fn, ctx, buffers, frontier)
                 iter_changed += ctx.changed_last_sweep
                 t_end = comm.Wtime()
                 d_compute = ctx.compute_time - compute0
@@ -786,15 +768,11 @@ class ICPlatform:
                     migrations.extend(events)
                 window_exec_time = 0.0  # the thesis resets the window
                 ctx.reset_node_loads()
-                if delta is not None:
+                if frontier is not None:
                     # Ownership changed (or stores were rebuilt): saved
                     # frontiers no longer describe this rank's nodes, so the
                     # next sweep of every round runs dense.
-                    delta.reset_dense()
-                if hybrid is not None:
-                    # Migration/repartition reclassified interior vs boundary
-                    # nodes wholesale: re-derive both frontiers densely.
-                    hybrid.reset_dense()
+                    frontier.reset_dense()
                 comm.barrier()
                 phases.load_balancing += comm.Wtime() - t_lb
                 if config.validate_each_iteration:
@@ -870,7 +848,7 @@ class ICPlatform:
             iterations_executed=(
                 iteration if quiescence_records else config.iterations
             ),
-            inner_sweeps=hybrid.inner_sweeps if hybrid is not None else 0,
+            inner_sweeps=getattr(frontier, "inner_sweeps", 0),
             sparse_geom_hits=getattr(store, "sparse_geom_hits", 0),
             sparse_geom_misses=getattr(store, "sparse_geom_misses", 0),
         )

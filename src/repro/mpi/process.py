@@ -38,10 +38,18 @@ Determinism argument (why results are bit-identical to ``event``):
 * a worker's pipe is FIFO and a *parked* worker is blocked in
   ``conn.recv()``: once every unfinished rank is parked there can be no
   in-flight delivery anywhere, which makes the broker's deadlock
-  detection exact, like the event backend's empty-run-queue test.  The
-  victim choice mirrors it too: the rank whose park completed the
-  deadlock (case A), or the lowest-indexed unfinished rank when a
-  finishing rank strands the rest (case B).
+  detection exact, like the event backend's empty-run-queue test.
+
+Deadlock victim rule: the *highest-numbered unfinished rank* raises
+:class:`~repro.mpi.errors.DeadlockError` (with its own park description)
+and every other parked rank gets ``CommAbortedError``.  Detection fires
+only once every unfinished rank is parked for good, so the unfinished set
+-- and with it the victim -- is a function of the program alone, never of
+the order in which park and finish requests reached the broker.  The
+event backend instead names the rank whose block completed the deadlock
+(or the lowest unfinished rank when a finishing rank strands the rest);
+the two agree when every rank blocks in rank order, e.g. each rank's
+first blocking call deadlocks, but not in general.
 
 Known, documented divergence: an abort cannot interrupt a send-only rank
 mid-flight (delivery is fire-and-forget; the parent silently drops
@@ -479,7 +487,7 @@ class _Broker:
         self._parked[rank] = _Parked(
             rank, "recv", source=source, tag=tag, comm_id=comm_id, consume=consume
         )
-        self._maybe_deadlock(victim=rank)
+        self._maybe_deadlock()
 
     def _barrier(
         self, rank: int, group: tuple[int, ...], comm_id: Any, clock: float
@@ -508,7 +516,7 @@ class _Broker:
             self._reply(rank, bar.release_clock)
         else:
             self._parked[rank] = _Parked(rank, "barrier", key=key)
-            self._maybe_deadlock(victim=rank)
+            self._maybe_deadlock()
 
     def _shm_wait(self, rank: int, gen: int, describe: str) -> None:
         """A worker gave up spinning on shm rendezvous ``gen``: park it.
@@ -523,7 +531,7 @@ class _Broker:
             self._reply(rank, None)
             return
         self._parked[rank] = _Parked(rank, "shmwait", key=gen, text=describe)
-        self._maybe_deadlock(victim=rank)
+        self._maybe_deadlock()
 
     def _flush(self, rank: int, watermark: int) -> None:
         """Reply once ``watermark`` delivers have been processed.
@@ -597,8 +605,8 @@ class _Broker:
         if error is not None and not cluster._aborted:
             self._abort(f"rank {rank} raised {type(error).__name__}: {error}")
         elif not cluster._aborted:
-            # Case B: a finishing rank may strand every survivor parked.
-            self._maybe_deadlock(victim=None)
+            # A finishing rank may strand every survivor parked.
+            self._maybe_deadlock()
 
     def _worker_died(self, rank: int) -> None:
         proc = self._procs[rank]
@@ -631,20 +639,21 @@ class _Broker:
             del self._parked[rank]
             self._reply_err(rank, exc)
 
-    def _maybe_deadlock(self, victim: int | None) -> None:
-        """Exact deadlock test, mirroring the event backend's two cases.
+    def _maybe_deadlock(self) -> None:
+        """Exact deadlock test; the victim is the highest unfinished rank.
 
         Sound because parked workers are blocked in ``conn.recv()`` and
         cannot send: all-unfinished-parked implies no delivery can be in
         flight on any pipe (a worker's sends are FIFO-ordered before its
-        own park request, hence already processed).
+        own park request, hence already processed).  Choosing the victim
+        from the unfinished set, not from whichever request completed it,
+        keeps the report independent of pipe arrival order.
         """
         if self._cluster._aborted or not self._unfinished:
             return
         if any(r not in self._parked for r in self._unfinished):
             return
-        if victim is None:  # case B: lowest unfinished rank, like _pass_baton
-            victim = min(self._unfinished)
+        victim = max(self._unfinished)
         reason = self._parked[victim].describe()
         cluster = self._cluster
         cluster._aborted = True

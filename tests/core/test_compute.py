@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.average import make_average_fn
 from repro.core import (
     CommBuffers,
     ComputeContext,
@@ -13,6 +14,8 @@ from repro.core import (
     sweep_basic,
     sweep_overlapped,
 )
+from repro.core.compute import sweep_basic_bulk, sweep_overlapped_bulk
+from repro.core.soastore import SoAStore
 from repro.graphs import Graph, hex32
 from repro.mpi import IDEAL, run_mpi
 
@@ -34,14 +37,15 @@ def average_fn(node: NodeView, ctx: ComputeContext) -> float:
     return sum(vals) / len(vals)
 
 
-def run_sweeps(graph, assignment, nprocs, iterations, sweep):
+def run_sweeps(graph, assignment, nprocs, iterations, sweep,
+               store_cls=NodeStore, node_fn=average_fn):
     def fn(comm):
-        store = NodeStore(comm.rank, graph, list(assignment), lambda gid: float(gid))
+        store = store_cls(comm.rank, graph, list(assignment), lambda gid: float(gid))
         ctx = ComputeContext(comm, PlatformCosts(), graph.num_nodes)
         buffers = CommBuffers(comm.size)
         for i in range(1, iterations + 1):
             ctx.iteration = i
-            sweep(comm, store, average_fn, ctx, buffers)
+            sweep(comm, store, node_fn, ctx, buffers)
         return {n.global_id: n.data.data for n in store.owned_nodes()}
 
     results = run_mpi(fn, nprocs, machine=IDEAL, deadlock_timeout=15.0)
@@ -51,13 +55,28 @@ def run_sweeps(graph, assignment, nprocs, iterations, sweep):
     return merged
 
 
+#: The scalar bindings on the object store, and the bulk bindings on the
+#: struct-of-arrays store with a node function that carries ``fn.bulk``.
+SWEEPS = [
+    pytest.param((sweep_basic, NodeStore, average_fn), id="sweep_basic"),
+    pytest.param((sweep_overlapped, NodeStore, average_fn), id="sweep_overlapped"),
+    pytest.param(
+        (sweep_basic_bulk, SoAStore, make_average_fn(0.0)), id="sweep_basic_bulk"
+    ),
+    pytest.param(
+        (sweep_overlapped_bulk, SoAStore, make_average_fn(0.0)),
+        id="sweep_overlapped_bulk",
+    ),
+]
+
+
 class TestSweepCorrectness:
-    @pytest.mark.parametrize("sweep", [sweep_basic, sweep_overlapped])
+    @pytest.mark.parametrize("sweep", SWEEPS)
     @pytest.mark.parametrize("nprocs", [1, 2, 3, 4, 8])
     def test_matches_sequential_reference(self, sweep, nprocs):
         graph = hex32()
         assignment = [gid % nprocs for gid in range(32)]
-        parallel = run_sweeps(graph, assignment, nprocs, 5, sweep)
+        parallel = run_sweeps(graph, assignment, nprocs, 5, *sweep)
         expected = sequential_average(graph, 5)
         assert parallel.keys() == expected.keys()
         for gid in expected:

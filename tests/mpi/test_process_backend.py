@@ -302,6 +302,28 @@ class TestShmCollectives:
         assert messages[True] == messages[False]
         _assert_no_leaked_segments()
 
+    def test_deadlock_victim_independent_of_arrival_order(self):
+        """The victim is chosen from the parked set, not from whichever
+        park request reaches the broker last: 30 runs per collective plane
+        all report the event backend's message."""
+
+        def stuck(comm):
+            if comm.rank == 0:
+                comm.recv(source=1, tag=5)  # never sent
+            else:
+                comm.barrier()
+
+        with pytest.raises(DeadlockError) as excinfo:
+            SimCluster(3, scheduler="event").run(stuck)
+        expected = str(excinfo.value)
+        for shm in (True, False):
+            for _ in range(30):
+                cluster = SimCluster(3, scheduler="process", shm_collectives=shm)
+                with pytest.raises(DeadlockError) as excinfo:
+                    cluster.run(stuck)
+                assert str(excinfo.value) == expected
+        _assert_no_leaked_segments()
+
     def test_float_allreduce_stays_on_pipe(self):
         """Only int payloads replay exactly through the block; float
         votes fall back to the pipe path and still conform."""
